@@ -9,10 +9,11 @@ Two claims, one file:
   (``use_batch=True``), both serial and in-process — so the speedup is
   per-core algorithmic gain, not worker fan-out. The folded rows must
   match key for key before any timing is recorded.
-- **Executor fast path.** The honest A-LEADuni election on a ring of 64
-  runs the same seeds through the classic untraced delivery loop
-  (``fast=False``) and through the allocation-free fast loop
-  (``fast=True``); outcomes and step counts must agree pairwise.
+- **Executor loops.** The same seeds run traced and untraced on a ring
+  (honest A-LEADuni, n=64: the per-inbox loop) and on a complete graph
+  (honest async-complete, n=8: the global-FIFO loop); outcome, step
+  count and outputs must agree pairwise. This is an identity check only;
+  the ring loop's speed is measured end to end by ``perfbench``.
 
 ``--smoke`` runs the identity checks only — small trial counts, no
 timing, no JSON — and exits nonzero on any divergence; CI runs it on
@@ -34,7 +35,8 @@ from pathlib import Path
 
 from repro import run_protocol, unidirectional_ring
 from repro.experiments import ExperimentRunner
-from repro.protocols import alead_uni_protocol
+from repro.protocols import alead_uni_protocol, async_complete_protocol
+from repro.sim.topology import complete_graph
 from repro.util.rng import RngRegistry
 
 #: (scenario, params, timed trials). Trial counts are sized so each
@@ -55,8 +57,13 @@ KERNEL_CASES = [
     ("placement/random-segments", {"n": 256}, 3000),
 ]
 
-EXECUTOR_N = 64
-EXECUTOR_TRIALS = 300
+#: (label, topology, protocol factory): one in-degree-1 topology and one
+#: with in-degree > 1, so both untraced loops are checked.
+EXECUTOR_CASES = [
+    ("honest/alead-uni n=64", unidirectional_ring(64), alead_uni_protocol),
+    ("honest/async-complete n=8", complete_graph(8), async_complete_protocol),
+]
+EXECUTOR_TRIALS = 100
 BASE_SEED = 0
 
 
@@ -91,18 +98,16 @@ def timed(fn, repeats=3):
     return value, best
 
 
-def executor_outcomes(trials, n, fast):
-    ring = unidirectional_ring(n)
+def executor_results(topology, make_protocol, trials, record_trace):
     rows = []
     for t in range(trials):
         result = run_protocol(
-            ring,
-            alead_uni_protocol(ring),
+            topology,
+            make_protocol(topology),
             rng=RngRegistry(BASE_SEED).spawn(str(t)),
-            record_trace=False,
-            fast=fast,
+            record_trace=record_trace,
         )
-        rows.append((result.outcome, result.steps))
+        rows.append((result.outcome, result.steps, result.outputs))
     return rows
 
 
@@ -128,19 +133,19 @@ def check_kernel_identity(trials_override=None):
 
 
 def check_executor_identity(trials):
-    fast_rows = executor_outcomes(trials, EXECUTOR_N, fast=True)
-    classic_rows = executor_outcomes(trials, EXECUTOR_N, fast=False)
-    if fast_rows != classic_rows:
-        raise SystemExit(
-            "FAIL: executor fast path diverged from the classic loop "
-            f"on honest alead-uni n={EXECUTOR_N}"
-        )
+    for label, topology, make_protocol in EXECUTOR_CASES:
+        untraced = executor_results(topology, make_protocol, trials, False)
+        traced = executor_results(topology, make_protocol, trials, True)
+        if untraced != traced:
+            raise SystemExit(
+                f"FAIL: untraced executor diverged from the traced loop on {label}"
+            )
 
 
 def smoke() -> None:
     check_kernel_identity(trials_override=64)
     check_executor_identity(trials=20)
-    print("smoke OK: batch kernels and executor fast path match scalar")
+    print("smoke OK: batch kernels match scalar, untraced executor matches traced")
 
 
 def main() -> None:
@@ -158,22 +163,8 @@ def main() -> None:
         }
         speedups[scenario] = round(scalar_s / batch_s, 2)
 
-    _, classic_s = timed(
-        lambda: executor_outcomes(EXECUTOR_TRIALS, EXECUTOR_N, fast=False)
-    )
-    _, fast_s = timed(
-        lambda: executor_outcomes(EXECUTOR_TRIALS, EXECUTOR_N, fast=True)
-    )
-    seconds["executor/alead-uni-n64"] = {
-        "classic_untraced": round(classic_s, 3),
-        "fast_loop": round(fast_s, 3),
-    }
-
     payload = {
-        "benchmark": (
-            "batch-kernel fold vs scalar per-trial fold (serial, per-core) "
-            "+ executor fast loop vs classic untraced loop"
-        ),
+        "benchmark": "batch-kernel fold vs scalar per-trial fold (serial, per-core)",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
@@ -181,7 +172,6 @@ def main() -> None:
         "outcome_counts": outcome_counts,
         "seconds": seconds,
         "speedup_batch_vs_scalar": speedups,
-        "speedup_executor_fast_vs_classic": round(classic_s / fast_s, 2),
         "outcomes_identical_across_modes": True,
     }
     out = Path(__file__).resolve().parent.parent / "BENCH_batch_kernels.json"
@@ -189,9 +179,6 @@ def main() -> None:
     print(f"wrote {out}")
     for scenario, speedup in speedups.items():
         print(f"  {scenario}: {speedup}x")
-    print(
-        f"  executor fast loop: {payload['speedup_executor_fast_vs_classic']}x"
-    )
 
 
 if __name__ == "__main__":

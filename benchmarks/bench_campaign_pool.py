@@ -7,7 +7,7 @@ and after:
 - **E1 loop** (1000 basic-cheat trials, n=64): PR 2 created a
   ``multiprocessing.Pool`` inside every ``run()`` call and shipped every
   trial outcome over IPC, which made 4 workers *lose* to serial
-  (``BENCH_experiment_engine.json``: 12.4s vs 11.4s). The fix —
+  (12.4s vs 11.4s, measured on one core). The fix —
   a persistent warm :class:`~repro.experiments.pool.WorkerPool` plus
   worker-side folded aggregates — must bring 4 workers back to at least
   serial speed.

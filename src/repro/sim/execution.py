@@ -16,6 +16,7 @@ Semantics follow Section 2 of the paper:
   execution that quiesces with live processors, or exceeds ``max_steps``).
 """
 
+import random
 from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from repro.sim.scheduler import FifoScheduler, Scheduler
 from repro.sim.strategy import _ABORT_SENTINEL, Context, Strategy
 from repro.sim.topology import Topology
 from repro.sim.trace import Trace
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import ConfigurationError, ProtocolViolation, SimulationError
 from repro.util.rng import RngRegistry
 
 #: Global-failure outcome (paper: some processor aborted, outputs disagree,
@@ -81,6 +82,53 @@ class _ReadyLinks(SequenceABC):
         return f"_ReadyLinks({list(self._links)!r})"
 
 
+class _InboxContext(Context):
+    """A reusable context whose sends go straight into the receivers' inboxes.
+
+    Used by :meth:`Executor._run_inboxes`, where every processor has one
+    inbox (its only in-link). ``send`` and ``send_next`` append to the
+    successor's inbox deque directly — no ``(to, value)`` staging tuple,
+    no drain pass — and raise the same :class:`ProtocolViolation` as
+    :class:`Context`; ``terminate`` and ``abort`` are inherited.
+    """
+
+    __slots__ = ("_inboxes", "_next_inbox")
+
+    def __init__(
+        self,
+        pid: Hashable,
+        out_neighbors: List[Hashable],
+        n: int,
+        rng: random.Random,
+        inboxes: Dict[Hashable, Deque[Any]],
+    ):
+        super().__init__(pid, out_neighbors, n, rng)
+        self._inboxes = inboxes
+        self._next_inbox = (
+            inboxes[out_neighbors[0]] if len(out_neighbors) == 1 else None
+        )
+
+    def send(self, to: Hashable, value: Any) -> None:
+        if self.terminated:
+            raise ProtocolViolation(f"{self.pid} tried to send after terminating")
+        if to not in self.out_neighbors:
+            raise ProtocolViolation(
+                f"{self.pid} tried to send to non-neighbour {to}"
+            )
+        self._inboxes[to].append(value)
+
+    def send_next(self, value: Any) -> None:
+        inbox = self._next_inbox
+        if inbox is None:
+            raise ProtocolViolation(
+                f"{self.pid} called send_next with {len(self.out_neighbors)} "
+                "out-neighbours; use send(to, value)"
+            )
+        if self.terminated:
+            raise ProtocolViolation(f"{self.pid} tried to send after terminating")
+        inbox.append(value)
+
+
 @dataclass
 class ExecutionResult:
     """Everything observable about one finished execution."""
@@ -108,6 +156,9 @@ class Executor:
         The communication graph.
     protocol:
         Map pid → :class:`Strategy` instance; must cover every node.
+        Strategies interact only through messages: they share no mutable
+        state across processors and act on their context only inside the
+        callback it was passed to (``INVARIANTS.md``, R1).
     scheduler:
         Oblivious delivery scheduler; defaults to :class:`FifoScheduler`.
     rng:
@@ -119,23 +170,23 @@ class Executor:
         deliveries, so the default scales generously with topology size.
     record_trace:
         When ``True`` (the default) every wakeup/send/receive/terminate is
-        recorded as an event object on ``result.trace``. Monte-Carlo loops
-        that only read ``result.outcome`` should pass ``False``: the hot
-        path then skips all event allocation and the result carries an
-        empty trace.
-    fast:
-        Selects the allocation-free delivery loop (:meth:`_run_fast`):
-        one reusable context per processor (successors and rng stream
-        resolved once instead of per callback), no per-processor
-        sent/received counters, no logical clock, and the default FIFO
-        scheduler inlined to an O(1) dict-head read. Deliveries, rng
-        consumption, and outcomes are identical to the classic loop —
-        only trace-feeding bookkeeping is skipped, which is why it
-        requires ``record_trace=False``. Default ``None`` means "fast
-        whenever untraced", so Monte-Carlo runs get it automatically;
-        pass ``False`` to force the classic loop (benchmark baselines,
-        or strategies that illegitimately retain contexts between
-        callbacks).
+        recorded as an event object on ``result.trace``, in the global
+        order the scheduler chose. Monte-Carlo loops that only read
+        ``result.outcome`` should pass ``False``: the result then carries
+        an empty trace and one of two untraced loops runs.
+
+    The untraced loop is picked from the input alone. With the exact
+    :class:`FifoScheduler` (not a subclass) on a topology where every
+    node has at most one in-link — the paper's unidirectional ring —
+    :meth:`_run_inboxes` drains each processor's inbox in message order.
+    Any other input runs :meth:`_run_fast`, which keeps the scheduler's
+    global delivery order. Because a processor with one in-link sees the
+    same message sequence under every fair schedule (Kahn determinacy;
+    see :mod:`repro.sim.scheduler`), both give the same ``outcome``,
+    ``steps``, ``outputs`` and ``fail_reason`` as the traced loop. Only
+    a run that exhausts ``max_steps`` may differ, in ``outputs`` and
+    ``undelivered``: each loop stops after a different prefix of the
+    same deliveries.
     """
 
     def __init__(
@@ -146,12 +197,12 @@ class Executor:
         rng: Optional[RngRegistry] = None,
         max_steps: Optional[int] = None,
         record_trace: bool = True,
-        fast: Optional[bool] = None,
     ):
         missing = [v for v in topology.nodes if v not in protocol]
         if missing:
             raise ConfigurationError(f"no strategy for nodes: {missing}")
-        extra = [v for v in protocol if v not in set(topology.nodes)]
+        nodes = set(topology.nodes)
+        extra = [v for v in protocol if v not in nodes]
         if extra:
             raise ConfigurationError(f"strategies for unknown nodes: {extra}")
         strategies = list(protocol.values())
@@ -177,14 +228,6 @@ class Executor:
         self._sent: Dict[Hashable, int] = {v: 0 for v in topology.nodes}
         self._received: Dict[Hashable, int] = {v: 0 for v in topology.nodes}
         self._record_trace = record_trace
-        if fast is None:
-            fast = not record_trace
-        elif fast and record_trace:
-            raise ConfigurationError(
-                "fast=True skips the bookkeeping event recording needs; "
-                "pass record_trace=False (or fast=False) instead"
-            )
-        self._fast = fast
         self._trace = Trace()
         self._time = 0
 
@@ -199,10 +242,9 @@ class Executor:
             self._ready[link] = None
         queue.append(value)
         self._sent[sender] += 1
-        if self._record_trace:
-            self._trace.append(
-                SendEvent(self._time, sender, receiver, value, self._sent[sender])
-            )
+        self._trace.append(
+            SendEvent(self._time, sender, receiver, value, self._sent[sender])
+        )
 
     def _drain_context(self, pid: Hashable, ctx: Context) -> None:
         for to, value in ctx.sends:
@@ -210,12 +252,11 @@ class Executor:
         if ctx.terminated:
             self._terminated[pid] = True
             self._outputs[pid] = ctx.output
-            if self._record_trace:
-                self._trace.append(TerminateEvent(self._time, pid, ctx.output))
-                if ctx.output == ABORT:
-                    self._trace.append(
-                        AbortEvent(self._time, pid, ctx.abort_reason or "abort")
-                    )
+            self._trace.append(TerminateEvent(self._time, pid, ctx.output))
+            if ctx.output == ABORT:
+                self._trace.append(
+                    AbortEvent(self._time, pid, ctx.abort_reason or "abort")
+                )
 
     def _make_context(self, pid: Hashable) -> Context:
         return Context(
@@ -225,16 +266,34 @@ class Executor:
             rng=self.rng.stream(f"proc:{pid}"),
         )
 
-    # -- main loop -------------------------------------------------------
+    def _sole_senders(self) -> Optional[Dict[Hashable, Hashable]]:
+        """Map each node with an in-link to its only predecessor; ``None``
+        if some node has two or more."""
+        senders: Dict[Hashable, Hashable] = {}
+        for sender, receiver in self.topology.edges:
+            if receiver in senders:
+                return None
+            senders[receiver] = sender
+        return senders
+
+    # -- main loops ------------------------------------------------------
 
     def run(self) -> ExecutionResult:
         """Execute to quiescence (or the step budget) and score the outcome."""
-        if self._fast:
-            return self._run_fast()
+        if self._record_trace:
+            return self._run_traced()
+        if type(self.scheduler) is FifoScheduler:
+            senders = self._sole_senders()
+            if senders is not None:
+                return self._run_inboxes(senders)
+        return self._run_fast()
+
+    def _run_traced(self) -> ExecutionResult:
+        """The reference loop: the scheduler's global delivery order, with
+        every wakeup, send, receive and terminate stamped on the trace."""
         for pid in self.topology.nodes:
             self._time += 1
-            if self._record_trace:
-                self._trace.append(WakeupEvent(self._time, pid))
+            self._trace.append(WakeupEvent(self._time, pid))
             ctx = self._make_context(pid)
             self.protocol[pid].on_wakeup(ctx)
             self._drain_context(pid, ctx)
@@ -254,35 +313,30 @@ class Executor:
             steps += 1
             self._time += 1
             self._received[receiver] += 1
-            if self._record_trace:
-                self._trace.append(
-                    ReceiveEvent(
-                        self._time, sender, receiver, value, self._received[receiver]
-                    )
+            self._trace.append(
+                ReceiveEvent(
+                    self._time, sender, receiver, value, self._received[receiver]
                 )
+            )
             if self._terminated[receiver]:
                 continue  # terminated processors ignore late messages
             ctx = self._make_context(receiver)
             self.protocol[receiver].on_receive(ctx, value, sender)
             self._drain_context(receiver, ctx)
 
-        quiesced = not ready
-        return self._score(steps, quiesced)
+        return self._score(steps, self._link_backlog())
 
     def _run_fast(self) -> ExecutionResult:
-        """The untraced delivery loop, stripped to what outcomes need.
+        """The untraced loop in the scheduler's global delivery order.
 
-        Per-delivery allocations of the classic loop that this one
-        eliminates: the fresh :class:`Context` (reused per processor,
-        with successors and the ``proc:<pid>`` stream — an f-string plus
-        two dict hops — resolved once up front), the event objects (no
-        trace), and the ``_sent`` / ``_received`` counter updates and
-        logical clock that exist only to stamp events. The scheduler
-        contract is kept — a non-default scheduler sees the same
+        Compared with :meth:`_run_traced` it allocates nothing per
+        delivery: one context per processor is reused (successors and the
+        ``proc:<pid>`` stream resolved once up front), and there are no
+        event objects, per-processor counters or logical clock. The
+        scheduler contract is kept — a non-default scheduler sees the same
         :class:`_ReadyLinks` view and validation — but the default
-        :class:`FifoScheduler`'s head-of-dict choice is inlined.
-        Delivery order and rng consumption are identical to the classic
-        loop, so outcomes (and therefore every experiment row) are too.
+        :class:`FifoScheduler`'s head-of-dict choice is inlined. Delivery
+        order and rng consumption are identical to the traced loop.
         """
         topology = self.topology
         protocol = self.protocol
@@ -347,8 +401,7 @@ class Executor:
                 terminated[receiver] = True
                 outputs[receiver] = ctx.output
 
-        quiesced = not ready
-        return self._score(steps, quiesced)
+        return self._score(steps, self._link_backlog())
 
     def _drain_context_fast(self, pid: Hashable, ctx: Context) -> None:
         """Apply a reused context's actions without trace bookkeeping."""
@@ -369,18 +422,106 @@ class Executor:
             self._terminated[pid] = True
             self._outputs[pid] = ctx.output
 
-    def _score(self, steps: int, quiesced: bool) -> ExecutionResult:
-        undelivered = {
-            link: list(queue) for link, queue in self._queues.items() if queue
+    def _run_inboxes(self, senders: Dict[Hashable, Hashable]) -> ExecutionResult:
+        """The untraced loop for topologies where no node has two in-links.
+
+        Each processor's only in-link is its inbox, so its local history —
+        and with it every send, rng draw and output — is the same whatever
+        order the inboxes are served in (Kahn determinacy), and so is the
+        total number of deliveries up to quiescence. This loop therefore
+        serves them in the cheapest order: it "follows the message". A
+        processor drains its whole inbox, then pushes each successor whose
+        inbox is non-empty onto a LIFO worklist. Sends go straight into
+        the successor's inbox (:class:`_InboxContext`), and every delivery
+        counts as a step, including those dropped at terminated
+        processors, so the budget cuts at exactly ``max_steps``.
+        """
+        topology = self.topology
+        protocol = self.protocol
+        nodes = topology.nodes
+        n = len(nodes)
+        position = {pid: i for i, pid in enumerate(nodes)}
+        inboxes: List[Deque[Any]] = [deque() for _ in nodes]
+
+        contexts: List[_InboxContext] = []
+        states = []
+        for i, pid in enumerate(nodes):
+            successors = topology.successors(pid)
+            ctx = _InboxContext(
+                pid,
+                successors,
+                n,
+                self.rng.stream(f"proc:{pid}"),
+                {to: inboxes[position[to]] for to in successors},
+            )
+            contexts.append(ctx)
+            targets = tuple(position[to] for to in successors)
+            states.append((
+                inboxes[i],
+                ctx,
+                protocol[pid].on_receive,
+                senders.get(pid),
+                targets[0] if len(targets) == 1 else -1,
+                targets,
+            ))
+
+        for pid, ctx in zip(nodes, contexts):
+            protocol[pid].on_wakeup(ctx)
+
+        steps = 0
+        max_steps = self.max_steps
+        worklist = [i for i in range(n - 1, -1, -1) if inboxes[i]]
+        pop = worklist.pop
+        push = worklist.append
+        while worklist:
+            i = pop()
+            while i >= 0:
+                inbox, ctx, on_receive, sender, follow, targets = states[i]
+                while inbox and steps < max_steps:
+                    steps += 1
+                    value = inbox.popleft()
+                    if not ctx.terminated:  # terminated processors drop late messages
+                        on_receive(ctx, value, sender)
+                if inbox:  # step budget exhausted
+                    worklist.clear()
+                    break
+                if follow >= 0:
+                    # One out-link: go straight on — the push and pop the
+                    # worklist would do, minus the list traffic.
+                    i = follow if inboxes[follow] else -1
+                else:
+                    i = -1
+                    for j in targets:
+                        if inboxes[j]:
+                            push(j)
+
+        for pid, ctx in zip(nodes, contexts):
+            if ctx.terminated:
+                self._terminated[pid] = True
+                self._outputs[pid] = ctx.output
+        backlog = {
+            (senders[pid], pid): list(inbox)
+            for pid, inbox in zip(nodes, inboxes)
+            if inbox
         }
-        outputs = dict(self._outputs)
+        return self._score(steps, backlog)
+
+    def _link_backlog(self) -> Dict[Link, List[Any]]:
+        return {link: list(queue) for link, queue in self._queues.items() if queue}
+
+    def _score(self, steps: int, undelivered: Dict[Link, List[Any]]) -> ExecutionResult:
+        quiesced = not undelivered
+        terminated = self._terminated
+        # Node order, not termination order, so the result does not depend
+        # on which loop (and so which schedule) produced it.
+        outputs = {v: self._outputs[v] for v in terminated if terminated[v]}
         fail_reason = None
         if not quiesced:
             outcome: Any = FAIL
             fail_reason = f"step budget exhausted after {steps} deliveries"
-        elif not all(self._terminated.values()):
+        elif not all(terminated.values()):
             outcome = FAIL
-            live = [v for v, t in self._terminated.items() if not t]
+            live = [v for v, t in terminated.items() if not t]
             fail_reason = f"processors never terminated: {live}"
         elif any(o == ABORT for o in outputs.values()):
             outcome = FAIL
@@ -412,15 +553,13 @@ def run_protocol(
     seed: Optional[int] = None,
     max_steps: Optional[int] = None,
     record_trace: bool = True,
-    fast: Optional[bool] = None,
 ) -> ExecutionResult:
     """One-shot convenience wrapper around :class:`Executor`.
 
     Exactly one of ``rng`` / ``seed`` may be given; ``seed`` builds a fresh
     :class:`RngRegistry`. Pass ``record_trace=False`` for Monte-Carlo hot
-    loops that only inspect the outcome (the trace comes back empty, and
-    the allocation-free fast loop is selected automatically; ``fast``
-    overrides — see :class:`Executor`).
+    loops that only inspect the outcome (the trace comes back empty and an
+    allocation-free untraced loop runs — see :class:`Executor`).
     """
     if rng is not None and seed is not None:
         raise ConfigurationError("pass either rng or seed, not both")
@@ -433,6 +572,5 @@ def run_protocol(
         rng=rng,
         max_steps=max_steps,
         record_trace=record_trace,
-        fast=fast,
     )
     return executor.run()

@@ -7,8 +7,13 @@ message contents or processor state — so their choices cannot leak
 information to adversaries.
 
 On the unidirectional ring every processor has a single incoming FIFO link,
-so all schedulers produce the same local histories; the variety here matters
-for general topologies (Section 7) and for stress-testing protocol
+so all schedulers produce the same local histories: each processor sees one
+message sequence, and what it sends is a function of that sequence and its
+private randomness (Kahn's determinacy result for process networks). The
+untraced executor relies on this: with the default :class:`FifoScheduler`
+on such a topology it serves inboxes in the cheapest order instead of the
+global one (see :class:`~repro.sim.execution.Executor`). The variety here
+matters for general topologies (Section 7) and for stress-testing protocol
 implementations against delivery reorderings across links.
 """
 

@@ -31,12 +31,13 @@ class Context:
     """Per-callback action collector handed to strategy callbacks.
 
     On the traced path a fresh context is created for every callback
-    invocation; the executor's untraced fast path instead keeps one
-    context per processor and clears ``sends`` between callbacks (see
-    :meth:`reset_actions`), which is indistinguishable to strategies
-    that act only within the callback — the documented contract. The
-    context also carries read-only information the strategy is entitled
-    to: its id, its out-neighbours, the ring size, and its private RNG.
+    invocation; the executor's untraced loops instead keep one context
+    per processor (on single-in-link topologies a subclass whose sends
+    go straight into the receiver's inbox), which is indistinguishable
+    to strategies that act only within the callback — the documented
+    contract. The context also carries read-only information the
+    strategy is entitled to: its id, its out-neighbours, the ring size,
+    and its private RNG.
     """
 
     __slots__ = (
@@ -65,15 +66,6 @@ class Context:
         self.terminated = False
         self.output: Any = None
         self.abort_reason: Optional[str] = None
-
-    def reset_actions(self) -> None:
-        """Clear queued sends between callbacks (fast-path reuse only).
-
-        Termination state is deliberately *not* cleared: a terminated
-        processor receives no further callbacks, and keeping the flag
-        preserves the send-after-terminate guard across reuse.
-        """
-        self.sends.clear()
 
     def send(self, to: Hashable, value: Any) -> None:
         """Queue ``value`` on the link to ``to`` (must be an out-neighbour)."""

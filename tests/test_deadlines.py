@@ -142,17 +142,23 @@ class TestPointTimeout:
         """A fast point queued behind a slow one must not burn its
         timeout budget while starved (or while the pool spawns): with a
         timeout generous for each point but smaller than the first
-        point's total runtime, the *second* point still completes."""
-        points = [
-            _point(SLEEPY, {"n": 4, "delay": 0.02}, 10),  # 0.2s total
-            _point(SLEEPY, {"n": 8, "delay": 0.001}, 5),  # trivial
-        ]
-        results = {
-            r.params["n"]: r
-            for r in run_campaign(
-                points, workers=2, chunk_size=1, point_timeout=0.1
-            )
-        }
+        point's total runtime, the *second* point still completes.
+
+        The slow point gets ten 20 ms chunks per chunk the pool runs at
+        once. Its clock arms at its first result, and the rest still
+        takes ~0.2 s, past the 0.1 s timeout, at any core count."""
+        with WorkerPool(2) as pool:
+            slow_trials = 10 * pool.dispatch_window
+            points = [
+                _point(SLEEPY, {"n": 4, "delay": 0.02}, slow_trials),  # ~0.2s
+                _point(SLEEPY, {"n": 8, "delay": 0.001}, 5),  # trivial
+            ]
+            results = {
+                r.params["n"]: r
+                for r in run_campaign(
+                    points, pool=pool, chunk_size=1, point_timeout=0.1
+                )
+            }
         assert results[4].timed_out
         assert not results[8].timed_out and results[8].trials == 5
 

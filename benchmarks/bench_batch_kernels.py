@@ -45,12 +45,17 @@ from repro.util.rng import RngRegistry
 #: kernels' asymptotics pay off at: the baton kernel's incremental
 #: pools beat the scalar O(n) rebuild-per-pass by ~n/log n, so it is
 #: measured on a big ring, and coin-fle amortizes one election per
-#: round against the scalar reduction machinery.
+#: round against the scalar reduction machinery. The honest ring
+#: kernels replace n^2 (A-LEADuni) and 2n^2 (PhaseAsyncLead) executor
+#: deliveries with n stream heads, so they are measured at a ring size
+#: the ring-grid benchmark runs.
 KERNEL_CASES = [
     ("cointoss/fle-coin", {"n": 8}, 3000),
     ("cointoss/biased-coin", {"n": 8, "cheater": 2, "target": 4}, 3000),
     ("cointoss/coin-fle", {"n": 16}, 300),
     ("fullinfo/baton", {"n": 256, "k": 16}, 400),
+    ("honest/alead-uni", {"n": 64}, 600),
+    ("honest/phase-async", {"n": 64}, 300),
     ("fullinfo/sequential-coin", {"game": "majority", "n": 7, "k": 2, "target": 1}, 3000),
     ("blocks/fair-consensus", {"n": 6}, 3000),
     ("blocks/fair-renaming", {"n": 6}, 3000),

@@ -26,7 +26,6 @@ the scalar path — see :data:`repro.experiments.scenario.BatchRunner`.
 """
 
 import math
-import random
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.attacks.basic_cheat import basic_cheat_protocol
@@ -39,8 +38,7 @@ from repro.experiments.scenario import (
     register_scenario,
     ring_topology,
 )
-from repro.protocols.alead_uni import alead_uni_protocol
-from repro.protocols.outcome import residue_to_id
+from repro.protocols.alead_uni import alead_uni_leader, alead_uni_protocol
 from repro.sim.execution import FAIL
 from repro.sim.topology import unidirectional_ring
 from repro.util.rng import derive_seed
@@ -82,24 +80,9 @@ def run_coin_fle_trial(
 # Batch kernels
 # ----------------------------------------------------------------------
 #
-# An honest A-LEADuni election elects residue_to_id(sum of the n secret
-# residues), each secret being the *first* randrange(n) of that
-# processor's private stream proc:<pid> — so the elected leader is a
-# closed form over n stream heads and the executor's ~n^2 deliveries
-# per trial (message objects, contexts, scheduler picks) are pure
-# overhead the kernels skip. A-LEADuni's honest run always validates
-# and terminates within the default step budget in exactly n^2
-# deliveries (each of the n processors sends exactly n messages), so
-# the per-trial step count is closed-form too.
-
-
-def _alead_leader(registry_seed: int, n: int) -> int:
-    """The id an honest A-LEADuni election elects from this registry."""
-    total = 0
-    for pid in range(1, n + 1):
-        stream = random.Random(derive_seed(registry_seed, f"proc:{pid}"))
-        total += stream.randrange(n)
-    return residue_to_id(total % n, n)
+# Both honest reductions fold through alead_uni_leader, the closed form
+# of an honest A-LEADuni election over the processors' stream heads; the
+# executor's n^2 deliveries per election are pure overhead to them.
 
 
 def run_fle_coin_batch(
@@ -111,7 +94,7 @@ def run_fle_coin_batch(
         return None  # degenerate ring: let the scalar path report it
     counts = {0: 0, 1: 0}
     for seed in seeds:
-        counts[_alead_leader(seed, n) % 2] += 1
+        counts[alead_uni_leader(seed, n) % 2] += 1
     counts = {bit: c for bit, c in counts.items() if c}
     return counts, n * n * len(seeds)
 
@@ -153,7 +136,7 @@ def run_coin_fle_batch(
         value = 0
         for r in range(rounds):
             child = derive_seed(seed, f"spawn:coin-round:{r}")
-            value = (value << 1) | (_alead_leader(child, n) % 2)
+            value = (value << 1) | (alead_uni_leader(child, n) % 2)
         elected = value + 1
         counts[elected] = counts.get(elected, 0) + 1
     return counts, rounds * len(seeds)

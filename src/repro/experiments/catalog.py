@@ -34,11 +34,18 @@ listing including the subsystem entries.)
 Parameters left at ``None`` (e.g. ``k``) are filled with the same
 size-derived defaults the CLI has always used, so ``sweep`` grid points
 only need to pin what they actually vary.
+
+``honest/alead-uni`` and ``honest/phase-async`` carry ``run_batch``
+kernels: an honest run elects a closed form over each processor's first
+draws, so a chunk folds without executing a message. The attacks keep
+the executor — a kernel that assumed an attack's theorem would stop
+testing it.
 """
 
 import math
 import random
-from typing import Hashable, Mapping
+from collections import Counter
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.attacks import (
     RingPlacement,
@@ -60,10 +67,13 @@ from repro.experiments.scenario import (
     scenario_names,
 )
 from repro.protocols import (
+    PhaseAsyncParams,
+    alead_uni_leader,
     alead_uni_protocol,
     async_complete_protocol,
     basic_lead_protocol,
     default_threshold,
+    phase_async_leader,
     phase_async_protocol,
     wakeup_alead_protocol,
 )
@@ -97,6 +107,33 @@ def _honest_async_complete(topo, params, rng):
 
 def _honest_wakeup_alead(topo, params, rng):
     return wakeup_alead_protocol(topo)
+
+
+def _batch_alead_uni(
+    seeds: Sequence[int], params: Params
+) -> Optional[Tuple[Dict[int, int], int]]:
+    """Fold a chunk of honest A-LEADuni trials: n² steps each."""
+    n = params["n"]
+    if n < 2:
+        return None  # degenerate ring: the scalar path raises
+    counts = Counter(alead_uni_leader(seed, n) for seed in seeds)
+    return counts, n * n * len(seeds)
+
+
+def _batch_phase_async(
+    seeds: Sequence[int], params: Params
+) -> Optional[Tuple[Dict[int, int], int]]:
+    """Fold a chunk of honest PhaseAsyncLead trials: 2n² steps each."""
+    n = params["n"]
+    if n < 2:
+        return None  # degenerate ring: the scalar path raises
+    protocol_params = PhaseAsyncParams(n)
+    counts = Counter(phase_async_leader(seed, protocol_params) for seed in seeds)
+    return counts, 2 * n * n * len(seeds)
+
+
+#: The honest ring protocols whose runs have a closed-form kernel.
+_HONEST_KERNELS = {"alead-uni": _batch_alead_uni, "phase-async": _batch_phase_async}
 
 
 # -- attacks -----------------------------------------------------------
@@ -196,6 +233,7 @@ def _register_builtins() -> None:
                     else ring_topology
                 ),
                 build_protocol=builder,
+                run_batch=_HONEST_KERNELS.get(name),
                 defaults={"n": n},
                 tags=("honest",),
             )

@@ -66,7 +66,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenario import ScenarioSpec, get_scenario
-from repro.httpd import JsonRequestHandler, bind_handler
+from repro.httpd import SHUTDOWN_POLL_S, JsonRequestHandler, bind_handler
 from repro.metrics import MetricsRegistry, ThroughputMeter
 from repro.util.errors import ConfigurationError
 
@@ -657,7 +657,9 @@ def serve_coordinator(
     server = make_coordinator_server(coordinator, host, port)
     if verbose:
         server.RequestHandlerClass.verbose = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(SHUTDOWN_POLL_S,), daemon=True
+    )
     thread.start()
     bound_host, bound_port = server.server_address[:2]
     print(

@@ -15,15 +15,16 @@ Registered here (imported for effect by
   the forced probability (deterministic per grid point).
 
 Both carry ``run_batch`` kernels. The baton kernel replays the game
-walk on two incrementally-maintained sorted pools instead of rebuilding
-the candidate lists from scratch each pass (same ``random.Random``
-draws, so bit-identical leaders); the sequential-coin game is fully
+walk on two sorted never-held lists (coalition, honest) instead of
+rebuilding the candidate lists each pass, and inlines ``rng.choice``
+as its ``getrandbits`` rejection loop: the same draws pick the same
+players, so leaders are bit-identical to ``pass_the_baton``, which
+stays the scalar reference. The sequential-coin game is fully
 deterministic per grid point, so its kernel evaluates the backward
 induction once and multiplies.
 """
 
 import random
-from bisect import bisect_left
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.experiments.scenario import (
@@ -95,28 +96,36 @@ def _baton_leader(scenario_seed: int, n: int, k: int) -> int:
     """One baton game, draw-for-draw identical to ``pass_the_baton``.
 
     ``pass_the_baton`` rebuilds the ascending candidate list (and the
-    ascending honest-outsider sublist) from ``range(n)`` on every pass —
-    O(n) per pass just to feed ``rng.choice`` — while this walk keeps
-    both pools as sorted lists and removes taken players by bisection.
-    Identical list contents in identical order mean ``rng.choice``
-    consumes the same underlying randomness, so the elected player is
-    bit-identical; the coalition is the first ``k`` players, matching
+    ascending honest-outsider sublist) from ``range(n)`` on every pass,
+    then calls ``rng.choice`` on it. This walk keeps the never-held
+    players as two ascending lists instead, coalition (``< k``) and
+    honest (``>= k``), whose concatenation is that candidate list. Each
+    pass inlines ``choice``: CPython's ``_randbelow`` rejection loop
+    over ``getrandbits(len.bit_length())`` picks a rank, and the player
+    at that rank is popped from whichever list holds it. Same draws on
+    lists of the same contents mean a bit-identical leader; the
+    coalition is the first ``k`` players, matching
     :func:`run_baton_trial`.
     """
     rng = random.Random(scenario_seed)
+    getrandbits = rng.getrandbits
     holder = rng.randrange(n)
-    unheld = list(range(n))
-    del unheld[holder]
-    honest_unheld = [p for p in range(k, n) if p != holder]
+    coalition = [p for p in range(k) if p != holder]
+    honest = [p for p in range(k, n) if p != holder]
     for _ in range(n - 1):
-        if holder < k and honest_unheld:
-            pool = honest_unheld
+        # A coalition holder passes to an honest player while one is left.
+        greedy = holder < k and bool(honest)
+        size = len(honest) if greedy else len(coalition) + len(honest)
+        bits = size.bit_length()
+        rank = getrandbits(bits)
+        while rank >= size:
+            rank = getrandbits(bits)
+        if greedy:
+            holder = honest.pop(rank)
+        elif rank < len(coalition):
+            holder = coalition.pop(rank)
         else:
-            pool = unheld
-        holder = rng.choice(pool)
-        del unheld[bisect_left(unheld, holder)]
-        if holder >= k:
-            del honest_unheld[bisect_left(honest_unheld, holder)]
+            holder = honest.pop(rank - len(coalition))
     return holder
 
 

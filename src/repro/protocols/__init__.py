@@ -15,6 +15,7 @@ from repro.protocols.basic_lead import BasicLeadStrategy, basic_lead_protocol
 from repro.protocols.alead_uni import (
     ALeadOriginStrategy,
     ALeadNormalStrategy,
+    alead_uni_leader,
     alead_uni_protocol,
     ORIGIN_ID,
 )
@@ -22,6 +23,7 @@ from repro.protocols.phase_async import (
     PhaseAsyncParams,
     PhaseOriginStrategy,
     PhaseNormalStrategy,
+    phase_async_leader,
     phase_async_protocol,
     DATA,
     VALIDATION,
@@ -46,11 +48,13 @@ __all__ = [
     "basic_lead_protocol",
     "ALeadOriginStrategy",
     "ALeadNormalStrategy",
+    "alead_uni_leader",
     "alead_uni_protocol",
     "ORIGIN_ID",
     "PhaseAsyncParams",
     "PhaseOriginStrategy",
     "PhaseNormalStrategy",
+    "phase_async_leader",
     "phase_async_protocol",
     "DATA",
     "VALIDATION",

@@ -14,8 +14,13 @@ Every processor sums its ``n`` incoming values and elects
 ``residue_to_id(sum mod n)``. A deviation is punished by aborting (⊥),
 which forces the global outcome to ``FAIL`` (solution preference makes this
 a deterrent).
+
+An honest run's outcome is a closed form over the processors' secrets;
+:func:`alead_uni_leader` evaluates it straight from the trial's streams,
+which is what the Monte-Carlo batch kernels fold instead of executing.
 """
 
+import random
 from typing import Any, Dict, Hashable
 
 from repro.protocols.outcome import residue_to_id
@@ -23,6 +28,7 @@ from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
 from repro.util.errors import ConfigurationError
 from repro.util.modmath import canonical_mod
+from repro.util.rng import derive_seed
 
 #: The distinguished spontaneously-waking processor (paper: processor 1).
 ORIGIN_ID = 1
@@ -97,3 +103,20 @@ def alead_uni_protocol(topology: Topology) -> Dict[Hashable, Strategy]:
         else:
             protocol[pid] = ALeadNormalStrategy(n)
     return protocol
+
+
+def alead_uni_leader(registry_seed: int, n: int) -> int:
+    """The id an honest A-LEADuni run on ``n`` processors elects, given
+    the seed of the :class:`~repro.util.rng.RngRegistry` it runs from.
+
+    Processor ``i``'s secret is the first ``randrange(n)`` of its stream
+    ``proc:<i>``; in an honest run every secret returns intact and every
+    processor elects ``residue_to_id(Σ secrets mod n)``. That run takes
+    exactly ``n²`` steps: each of the ``n`` processors sends ``n``
+    messages.
+    """
+    total = 0
+    for pid in range(1, n + 1):
+        stream = random.Random(derive_seed(registry_seed, f"proc:{pid}"))
+        total += stream.randrange(n)
+    return residue_to_id(total % n, n)

@@ -28,8 +28,13 @@ alternation, commitment points) and actually terminates.
 The module also provides the **sum-output variant** (output
 ``Σd_i mod n`` instead of a random ``f``) that Appendix E.4 shows is broken
 by ``k = 4`` adversaries, motivating the random function.
+
+:func:`phase_async_leader` evaluates an honest run's output straight from
+the trial's streams, which is what the Monte-Carlo batch kernels fold
+instead of executing.
 """
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
@@ -39,6 +44,7 @@ from repro.sim.strategy import Context, Strategy
 from repro.sim.topology import Topology
 from repro.util.errors import ConfigurationError
 from repro.util.modmath import mod_sum
+from repro.util.rng import derive_seed
 
 #: Message-type tags. A PhaseAsyncLead message is the tuple ``(tag, value)``.
 DATA = "D"
@@ -272,3 +278,27 @@ def phase_async_protocol(
         else:
             protocol[pid] = PhaseNormalStrategy(pid, params)
     return protocol
+
+
+def phase_async_leader(registry_seed: int, params: PhaseAsyncParams) -> int:
+    """The id an honest PhaseAsyncLead run elects, given the seed of the
+    :class:`~repro.util.rng.RngRegistry` it runs from.
+
+    Processor ``i``'s data value ``d_i`` is the first ``randrange(n)`` of
+    its stream ``proc:<i>`` and its validation value ``v_i`` the second
+    draw, ``randrange(m)``. An honest run delivers every value intact, so
+    it outputs ``f(d_1..d_n, v_1..v_{n-l})``; only the first ``n - l``
+    validators' second draws are read. That run takes exactly ``2n²``
+    steps: in each of the ``n`` rounds every processor forwards one data
+    and one validation message.
+    """
+    n, m = params.n, params.m
+    validators = params.num_validation_inputs
+    data: List[int] = []
+    validations: List[int] = []
+    for pid in range(1, n + 1):
+        stream = random.Random(derive_seed(registry_seed, f"proc:{pid}"))
+        data.append(stream.randrange(n))
+        if pid <= validators:
+            validations.append(stream.randrange(m))
+    return params.output_fn(data, validations)

@@ -30,6 +30,8 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import ExperimentRunner, WorkerPool, all_scenarios, get_scenario
+from repro.experiments.runner import run_traced_trial, trial_registry
+from repro.protocols import PhaseAsyncParams, alead_uni_leader, phase_async_leader
 from repro.util.errors import ConfigurationError
 
 #: Every batch-capable scenario in the registered catalog.
@@ -46,6 +48,8 @@ EXPECTED_BATCH_NAMES = [
     "cointoss/fle-coin",
     "fullinfo/baton",
     "fullinfo/sequential-coin",
+    "honest/alead-uni",
+    "honest/phase-async",
     "placement/random-segments",
 ]
 
@@ -58,6 +62,13 @@ def _sample_biased_coin(rng):
 def _sample_baton(rng):
     n = rng.randrange(1, 41)
     return {"n": n, "k": rng.randrange(0, n + 1)}
+
+
+def _sample_honest_ring(rng):
+    # Half the draws land in [102, 130], the only sizes at which
+    # PhaseAsyncLead's f reads validation values (n - ceil(10 sqrt n) > 0).
+    n = rng.choice((rng.randrange(2, 17), rng.randrange(102, 131)))
+    return {"n": n}
 
 
 def _sample_sequential(rng):
@@ -83,6 +94,8 @@ PARAM_SAMPLERS = {
     "cointoss/coin-fle": lambda rng: {"n": 2 ** rng.randrange(1, 6)},
     "fullinfo/baton": _sample_baton,
     "fullinfo/sequential-coin": _sample_sequential,
+    "honest/alead-uni": _sample_honest_ring,
+    "honest/phase-async": _sample_honest_ring,
     "blocks/fair-consensus": lambda rng: {"n": rng.randrange(2, 17)},
     "blocks/fair-renaming": lambda rng: {"n": rng.randrange(2, 17)},
     "placement/random-segments": lambda rng: {
@@ -201,10 +214,50 @@ def test_declined_points_defer_to_scalar_validation():
     rather than guessing an answer, so the scalar path's own validation
     error surfaces identically in both modes — the kernel never masks
     it. coin-fle only vectorizes power-of-two rings; n=6 is declined,
-    and the scalar reduction rejects it."""
-    for use_batch in (True, False):
-        with pytest.raises(ConfigurationError):
-            _run("cointoss/coin-fle", 8, 3, {"n": 6}, use_batch=use_batch)
+    and the scalar reduction rejects it. The honest ring kernels decline
+    n < 2, where there is no ring to build."""
+    for name, params in (
+        ("cointoss/coin-fle", {"n": 6}),
+        ("honest/alead-uni", {"n": 1}),
+        ("honest/phase-async", {"n": 1}),
+    ):
+        assert get_scenario(name).run_batch([1, 2], params) is None
+        for use_batch in (True, False):
+            with pytest.raises(ConfigurationError):
+                _run(name, 8, 3, params, use_batch=use_batch)
+
+
+#: Ring sizes for the closed-form checks: the smallest rings, one mid
+#: size, and both sides of n = 102, where PhaseAsyncLead's f starts to
+#: read validation values.
+CLOSED_FORM_SIZES = [2, 3, 64, 101, 102, 128]
+
+
+@pytest.mark.parametrize("n", CLOSED_FORM_SIZES)
+def test_alead_uni_closed_form_matches_traced_run(n):
+    """The shared A-LEADuni closed form elects what the traced executor
+    run elects, and that run takes exactly n^2 steps."""
+    for index in range(3):
+        traced = run_traced_trial(
+            "honest/alead-uni", {"n": n}, base_seed=5, index=index
+        )
+        seed = trial_registry(5, index).seed
+        assert alead_uni_leader(seed, n) == traced.outcome
+        assert traced.steps == n * n
+
+
+@pytest.mark.parametrize("n", CLOSED_FORM_SIZES)
+def test_phase_async_closed_form_matches_traced_run(n):
+    """The PhaseAsyncLead closed form elects what the traced executor run
+    elects, and that run takes exactly 2n^2 steps."""
+    params = PhaseAsyncParams(n)
+    for index in range(2):
+        traced = run_traced_trial(
+            "honest/phase-async", {"n": n}, base_seed=5, index=index
+        )
+        seed = trial_registry(5, index).seed
+        assert phase_async_leader(seed, params) == traced.outcome
+        assert traced.steps == 2 * n * n
 
 
 def test_kernel_decline_is_per_spec_not_per_runner():

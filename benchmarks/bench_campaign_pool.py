@@ -17,9 +17,11 @@ and after:
   and must beat the sequential/cold-pool shape.
 - **Streamed per-trial outcomes** (8000 cheap baton trials with an
   ``on_outcome`` consumer): PR 3 shipped one pickled ``TrialOutcome``
-  list per dispatch whenever per-trial outcomes were requested. The
-  streamed path caps dispatches at ``STREAM_CHUNK_TRIALS`` and returns
-  columnar packed tuples; at 4 workers it must be no slower than the
+  list per dispatch whenever per-trial outcomes were requested (rebuilt
+  here from :func:`~repro.experiments.runner.run_one_trial`, the trial
+  definition). The streamed path caps dispatches at
+  ``STREAM_CHUNK_TRIALS`` and returns the chunk's fold with columnar
+  per-trial tuples appended; at 4 workers it must be no slower than the
   pickled-list shape while bounding every IPC message.
 - **Deadline guard overhead** (the same 12-point shallow grid): the
   campaign's cooperative-cancellation machinery (per-point clocks, the
@@ -56,7 +58,12 @@ from repro.experiments import (
     run_campaign,
     run_scenario,
 )
-from repro.experiments.runner import _run_chunk, chunk_payloads
+from repro.experiments.runner import (
+    TrialOutcome,
+    _run_chunk_folded,
+    chunk_payloads,
+    run_one_trial,
+)
 
 SCENARIO = "attack/basic-cheat"
 E1_PARAMS = {"n": 64, "target": 40}
@@ -157,9 +164,17 @@ def _stream_payloads(pool, max_chunk=None):
     spec = get_scenario(STREAM_SCENARIO)
     params = spec.resolve_params(STREAM_PARAMS)
     return chunk_payloads(
-        spec, params, BASE_SEED, range(STREAM_TRIALS), False, None,
+        spec, params, BASE_SEED, range(STREAM_TRIALS), True, None,
         workers=pool.workers, max_chunk=max_chunk,
     )
+
+
+def _trial_list_chunk(payload):
+    """The PR-3 worker side: a chunk returned as one ``TrialOutcome``
+    list, built from the trial definition itself."""
+    scenario, params, base_seed, indices = payload[:4]
+    spec = get_scenario(scenario)
+    return [run_one_trial(spec, params, base_seed, i) for i in indices]
 
 
 def _consume_trials(trials):
@@ -177,26 +192,25 @@ def outcomes_pickled_lists(pool):
     (default chunking: trials / (workers x 4) per dispatch)."""
     return _consume_trials(
         trial
-        for chunk in pool.imap_unordered(_run_chunk, _stream_payloads(pool))
+        for chunk in pool.imap_unordered(_trial_list_chunk, _stream_payloads(pool))
         for trial in chunk
     )
 
 
 def outcomes_streamed(pool):
     """The streamed transport: dispatches capped at
-    ``STREAM_CHUNK_TRIALS``, columnar packed tuples over IPC, trial
-    objects rebuilt master-side — exactly what the runner's outcome
-    path ships since PR 4."""
+    ``STREAM_CHUNK_TRIALS``, the fold plus columnar per-trial tuples
+    over IPC, trial objects rebuilt master-side — exactly what the
+    runner ships when a consumer asks for every trial."""
     from repro.experiments.pool import STREAM_CHUNK_TRIALS
-    from repro.experiments.runner import _run_chunk_packed, _unpack_chunk
 
     return _consume_trials(
         trial
-        for packed in pool.imap_unordered(
-            _run_chunk_packed,
+        for chunk in pool.imap_unordered(
+            _run_chunk_folded,
             _stream_payloads(pool, max_chunk=STREAM_CHUNK_TRIALS),
         )
-        for trial in _unpack_chunk(packed)
+        for trial in map(TrialOutcome, *chunk[5:])
     )
 
 
@@ -518,18 +532,16 @@ def test_packed_chunks_pickle_smaller_than_trialoutcome_lists(
     chunk), and stay that way if the packing format changes."""
     import pickle
 
-    from repro.experiments.runner import _run_chunk, _run_chunk_packed
-
     spec = get_scenario(STREAM_SCENARIO)
     params = spec.resolve_params(STREAM_PARAMS)
     (payload,) = chunk_payloads(
-        spec, params, BASE_SEED, range(500), False, None, chunk_size=500
+        spec, params, BASE_SEED, range(500), True, None, chunk_size=500
     )
 
     def sizes():
         return (
-            len(pickle.dumps(_run_chunk(payload))),
-            len(pickle.dumps(_run_chunk_packed(payload))),
+            len(pickle.dumps(_trial_list_chunk(payload))),
+            len(pickle.dumps(_run_chunk_folded(payload))),
         )
 
     list_bytes, packed_bytes = benchmark(sizes)

@@ -38,7 +38,7 @@ def seed_style_traced_loop(trials: int):
 
 @pytest.mark.smoke
 def test_e13_fast_path_agrees_and_benchmarks(benchmark, experiment_report):
-    runner = ExperimentRunner()  # in-process, record_trace=False
+    runner = ExperimentRunner()  # in-process, untraced trials
     traced = seed_style_traced_loop(TRIALS)
 
     def fast_path():

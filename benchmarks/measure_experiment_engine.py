@@ -6,8 +6,8 @@ three ways and records the speedups:
 
 - ``seed_traced_serial``  — the pre-engine idiom: serial loop, full
   event trace recorded per trial and then thrown away;
-- ``runner_serial``       — ExperimentRunner in-process with
-  ``record_trace=False`` (the zero-trace executor fast path);
+- ``runner_serial``       — ExperimentRunner in-process, trials
+  untraced (the zero-trace executor fast path);
 - ``runner_parallel_4``   — the same trial set fanned out over 4
   worker processes.
 

@@ -19,9 +19,10 @@ Five layers, each usable on its own:
   results are identical at any worker count — and folds outcomes into
   distributions and Wilson-interval proportions as they stream back.
   Trials run with trace recording off (the executor's Monte-Carlo fast
-  path); when per-trial outcomes aren't requested, workers fold their
-  own chunks and ship only counters — and when they are, outcomes
-  stream back in bounded packed chunks. An adaptive budget from the
+  path); workers fold their own chunks and ship counters, plus the
+  chunk's trials as columnar tuples when per-trial outcomes are
+  requested (in bounded chunks). Batching, stop and deadline rules are
+  :class:`PointState`'s, shared with campaigns. An adaptive budget from the
   :mod:`~repro.experiments.budget` policy registry (``wilson-width``,
   ``relative-precision``, ``fail-rate-target``) can replace the fixed
   trial count with a deterministic batch-boundary stop.

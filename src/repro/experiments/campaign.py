@@ -93,6 +93,7 @@ from repro.experiments.runner import (
     ExperimentResult,
     ExperimentRunner,
     _run_chunk_folded,
+    check_chunk_size,
     chunk_payloads,
 )
 from repro.experiments.scenario import (
@@ -650,6 +651,37 @@ def as_scheduler(schedule: ScheduleRef) -> PointScheduler:
     return PointScheduler(schedule if schedule is not None else "manifest-order")
 
 
+def plan_points(
+    points: Sequence[CampaignPoint],
+    completed: Optional[Collection[str]] = None,
+    schedule: ScheduleRef = None,
+) -> Tuple[Dict[str, ScenarioSpec], List[CampaignPoint]]:
+    """Resolve, resume-filter and order campaign points for admission.
+
+    Scenarios and parameters resolve eagerly: a stale manifest or an
+    unknown parameter fails before work starts, hand-built points with
+    partial params behave identically at every worker count (workers
+    ship fully-resolved params), and resume keys are computed on
+    resolved params — the same normalisation sweep rows get, which is a
+    precondition of byte-identical rows. Returns the specs by scenario
+    name and the points whose key is not in ``completed``, in the order
+    ``schedule`` admits them.
+    """
+    done = frozenset(completed) if completed else frozenset()
+    specs: Dict[str, ScenarioSpec] = {}
+    todo: List[CampaignPoint] = []
+    for point in points:
+        spec = specs.get(point.scenario)
+        if spec is None:
+            spec = specs[point.scenario] = get_scenario(point.scenario)
+        resolved = spec.resolve_params(point.params)
+        if resolved != point.params:
+            point = replace(point, params=resolved)
+        if point.key() not in done:
+            todo.append(point)
+    return specs, as_scheduler(schedule).order(todo)
+
+
 # ----------------------------------------------------------------------
 # The orchestrator
 # ----------------------------------------------------------------------
@@ -709,15 +741,16 @@ def slice_ranges(
 
 
 class PointState:
-    """Master-side fold state of one in-flight campaign point.
+    """Master-side fold state of one in-flight point.
 
-    Shared between :func:`run_campaign`'s interleaved orchestrator and
-    the distributed coordinator: batching (``next_batch`` — where stop
-    decisions are allowed to happen), folding (commutative counters),
-    the stop rule (``converged``), and finalization into an
-    :class:`ExperimentResult` are one implementation, which is most of
-    why a distributed campaign's rows match a single-host run's
-    byte for byte.
+    The one implementation of batching (``next_batch`` — where stop
+    decisions are allowed to happen; the calibration probe and its chunk
+    size), folding (commutative counters), the stop rule
+    (``converged``), the complete-at-the-boundary rule (``exhausted``),
+    and finalization into an :class:`ExperimentResult`. Shared by
+    :meth:`ExperimentRunner.run` (so sweeps and serial campaigns),
+    :func:`run_campaign`'s interleaved orchestrator and the distributed
+    coordinator, which is most of why their rows match byte for byte.
     """
 
     def __init__(
@@ -737,12 +770,7 @@ class PointState:
         self.dispatched = 0  # trial indices handed to workers so far
         self.dispatches = 0  # chunk payloads enqueued (scheduling metadata)
         self.pending = 0  # chunks of the current batch still out
-        #: Calibration split for fixed-trial points of an unseen
-        #: scenario: the first ``probe`` trials go out as their own
-        #: batch (one bounded chunk) so the measured fold seeds the cost
-        #: model before the remainder is chunked adaptively. Batch
-        #: boundaries are where stop decisions happen, but a fixed
-        #: budget has no stop rule — the split cannot change results.
+        #: Trials of the calibration batch (see :meth:`probe_for`).
         self.probe = probe
         self.started = time.perf_counter()
         #: Monotonic instant the point's timeout expires; armed when its
@@ -760,6 +788,31 @@ class PointState:
             self._batch_ends = iter([probe, point.trials])
         else:
             self._batch_ends = iter([point.trials])
+
+    @staticmethod
+    def probe_for(
+        point: CampaignPoint,
+        chunker: Optional[AdaptiveChunker],
+        chunk_size: Optional[int],
+    ) -> int:
+        """The calibration split for a fixed-trial point of an unseen
+        scenario under a cost-adaptive chunker: the first ``probe``
+        trials go out as their own batch (one bounded chunk) so the
+        measured fold seeds the cost model before the remainder is
+        chunked adaptively. Batch boundaries are where stop decisions
+        happen, but a fixed budget has no stop rule — the split cannot
+        change results."""
+        if chunker is None or chunk_size is not None or point.budget is not None:
+            return 0
+        return chunker.calibration_trials(point.scenario, point.trials or 0)
+
+    def batch_chunk_size(self, end: int, chunk_size: Optional[int]) -> Optional[int]:
+        """The chunk size for the batch ending at ``end``: the
+        calibration batch ships as one bounded chunk, so its measured
+        fold is a clean per-trial estimate; otherwise ``chunk_size``."""
+        if chunk_size is None and self.probe and end <= self.probe:
+            return self.probe
+        return chunk_size
 
     def next_batch(self) -> Optional[Tuple[int, int]]:
         """The next ``[start, end)`` trial range to dispatch, or None."""
@@ -863,8 +916,9 @@ def run_campaign(
     unless ``chunker`` is given — pass one seeded from a ``.timings``
     sidecar to start warm) learns per-trial seconds from every folded
     chunk and sizes later dispatches toward its wall-seconds target.
-    An explicit ``chunk_size`` disables it and pins the size instead.
-    Chunking never affects the emitted rows, only scheduling.
+    An explicit ``chunk_size`` disables it and pins the size instead; a
+    size below one trial is rejected before any work, at every worker
+    count. Chunking never affects the emitted rows, only scheduling.
 
     The iterator is lazy; closing it (or exhausting it) closes a
     self-created pool, while an injected ``pool`` stays open for the
@@ -885,26 +939,10 @@ def run_campaign(
             raise ConfigurationError(
                 f"{flag} must be a positive number of seconds, got {value!r}"
             )
-    scheduler = as_scheduler(schedule)
+    check_chunk_size(chunk_size)
     if chunker is None and chunk_size is None:
         chunker = AdaptiveChunker()
-    done = frozenset(completed) if completed else frozenset()
-    # Resolve scenarios and parameters eagerly: a stale manifest or an
-    # unknown parameter fails before work starts, hand-built points with
-    # partial params behave identically at every worker count (workers
-    # ship fully-resolved params), and resume keys are computed on
-    # resolved params — the same normalisation sweep rows get.
-    specs: Dict[str, ScenarioSpec] = {}
-    normalized: List[CampaignPoint] = []
-    for point in points:
-        spec = specs.get(point.scenario)
-        if spec is None:
-            spec = specs[point.scenario] = get_scenario(point.scenario)
-        resolved = spec.resolve_params(point.params)
-        if resolved != point.params:
-            point = replace(point, params=resolved)
-        normalized.append(point)
-    todo = scheduler.order([p for p in normalized if p.key() not in done])
+    specs, todo = plan_points(points, completed, schedule)
 
     def _run() -> Iterator[ExperimentResult]:
         own_pool = pool is None
@@ -1003,8 +1041,9 @@ def _run_interleaved(
     chunk results as the pool's callback thread hands them over. Chunks
     are trickled into the pool at most
     :attr:`~repro.experiments.pool.WorkerPool.dispatch_window` at a time
-    — the same no-oversubscription cap the runner's streaming path
-    enforces — with the surplus buffered master-side.
+    — the same no-oversubscription cap
+    :meth:`~repro.experiments.pool.WorkerPool.imap_unordered` enforces —
+    with the surplus buffered master-side.
 
     Deadlines are enforced at the same place stop decisions are: chunk
     arrivals. A point past its timeout stops dispatching (its queued
@@ -1060,11 +1099,6 @@ def _run_interleaved(
         if batch is None:
             return False
         start, end = batch
-        size = chunk_size
-        if size is None and state.probe and end <= state.probe:
-            # The calibration batch ships as one bounded chunk so its
-            # measured fold is a clean per-trial estimate.
-            size = state.probe
         payloads = chunk_payloads(
             state.spec,
             state.point.params,
@@ -1073,11 +1107,9 @@ def _run_interleaved(
             False,
             state.point.max_steps,
             workers=pool.workers,
-            chunk_size=size,
+            chunk_size=state.batch_chunk_size(end, chunk_size),
             chunker=chunker,
         )
-        if not payloads:
-            return False
         state.dispatches += len(payloads)
         state.pending = len(payloads)
         for payload in payloads:
@@ -1091,17 +1123,14 @@ def _run_interleaved(
             return
         while waiting and len(active) < max_active:
             point_id, point = waiting.popleft()
-            probe = 0
-            if chunker is not None and chunk_size is None and point.budget is None:
-                probe = chunker.calibration_trials(
-                    point.scenario, point.trials or 0
-                )
-            state = PointState(point_id, point, specs[point.scenario], probe=probe)
+            probe = PointState.probe_for(point, chunker, chunk_size)
+            state = PointState(point_id, point, specs[point.scenario], probe)
             if _enqueue_batch(state):
                 active[point_id] = state
             else:
                 yield state.finalize()
 
+    guarded = point_timeout is not None or wall_deadline is not None
     yield from _activate()
     _pump()
     while active:
@@ -1113,75 +1142,60 @@ def _run_interleaved(
                 f"{active[point_id].point.params} failed: {payload}"
             ) from payload
         state = active[point_id]
-        if chunker is not None and len(payload) > 4:
+        if chunker is not None:
             chunker.observe(state.point.scenario, payload[3], payload[4])
         state.fold(payload)
         state.pending -= 1
-        if point_timeout is None and wall_deadline is None:
-            # Unguarded campaigns keep PR 4's O(1) boundary check — the
-            # deadline sweeps below are pure overhead when nothing can
-            # ever expire.
-            if state.pending == 0:
-                # Batch boundary: the only place stop decisions happen.
-                if state.converged() or not _enqueue_batch(state):
-                    del active[point_id]
-                    yield state.finalize()
-                    yield from _activate()
-            _pump()
-            continue
-        # Deadline sweep — every chunk arrival is a chunk boundary, the
-        # one place cooperative cancellation may act.
-        now = time.monotonic()
-        if state.deadline is None and point_timeout is not None:
-            # First evidence of progress arms the point's clock: pool
-            # spawn, worker imports, and queue wait are not its fault.
-            state.deadline = now + point_timeout
-        if not draining and wall_deadline is not None and now >= wall_deadline:
-            draining = True
-        for other in list(active.values()):
-            if (
-                not other.timed_out
-                # A point whose every trial already arrived is complete:
-                # abandoning it would discard a finished result (and
-                # retry the point forever), so the deadline spares it.
-                and not other.exhausted()
-                and (
-                    draining
-                    or (other.deadline is not None and now >= other.deadline)
-                )
-            ):
-                _abandon(other)
-        # Finalize whatever reached a boundary: the arriving point at a
-        # normal batch boundary, plus any abandoned point whose
-        # in-flight chunks have drained.
-        for other in list(active.values()):
+        boundary = [state]
+        if guarded:
+            # Deadline sweep — every chunk arrival is a chunk boundary,
+            # the one place cooperative cancellation may act.
+            now = time.monotonic()
+            if state.deadline is None and point_timeout is not None:
+                # First evidence of progress arms the point's clock: pool
+                # spawn, worker imports, and queue wait are not its fault.
+                state.deadline = now + point_timeout
+            if not draining and wall_deadline is not None and now >= wall_deadline:
+                draining = True
+            for other in list(active.values()):
+                if (
+                    not other.timed_out
+                    # A point whose every trial already arrived is
+                    # complete: abandoning it would discard a finished
+                    # result (and retry the point forever), so the
+                    # deadline spares it.
+                    and not other.exhausted()
+                    and (
+                        draining
+                        or (other.deadline is not None and now >= other.deadline)
+                    )
+                ):
+                    _abandon(other)
+            # An abandoned point finalizes once its in-flight chunks
+            # have drained, whichever point's chunk arrived.
+            boundary = list(active.values())
+        for other in boundary:
             if other.pending > 0:
                 continue
             if other.timed_out and other.exhausted():
                 # The abandoned point's in-flight chunks turned out to
-                # be all of it: every dispatched trial arrived and no
-                # batch remains, so the result is complete — nothing
-                # was actually lost to the deadline.
+                # be all of it: nothing was lost to the deadline.
                 other.timed_out = False
-                del active[other.point_id]
-                yield other.finalize()
-                yield from _activate()
-            elif other.timed_out:
-                del active[other.point_id]
-                if other.ran:
-                    yield other.finalize()
-                else:
-                    # Abandoned before a single trial ran (global
-                    # deadline while fully queued): no partial fold to
-                    # record — count it as never started.
-                    never_started += 1
-                yield from _activate()
-            elif other is state:
+            elif not other.timed_out and (
+                other is not state
                 # Batch boundary: the only place stop decisions happen.
-                if other.converged() or not _enqueue_batch(other):
-                    del active[other.point_id]
-                    yield other.finalize()
-                    yield from _activate()
+                or (not other.converged() and _enqueue_batch(other))
+            ):
+                continue
+            del active[other.point_id]
+            if other.ran or not other.timed_out:
+                yield other.finalize()
+            else:
+                # Abandoned before a single trial ran (global deadline
+                # while fully queued): no partial fold to record —
+                # count it as never started.
+                never_started += 1
+            yield from _activate()
         _pump()
     if draining:
         raise CampaignDeadline(pending=len(waiting) + never_started)

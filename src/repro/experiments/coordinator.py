@@ -61,11 +61,10 @@ from repro.experiments.campaign import (
     CampaignPoint,
     PointState,
     ScheduleRef,
-    as_scheduler,
+    plan_points,
     slice_ranges,
 )
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.scenario import ScenarioSpec, get_scenario
 from repro.httpd import SHUTDOWN_POLL_S, JsonRequestHandler, bind_handler
 from repro.metrics import MetricsRegistry, ThroughputMeter
 from repro.util.errors import ConfigurationError
@@ -174,26 +173,10 @@ class CampaignCoordinator:
             )
         self.lease_ttl = float(lease_ttl)
         self.max_active = _checked_int(max_active, "max_active", 1)
-        # Same eager resolution sweep as run_campaign: stale manifests
-        # fail before any node does work, and resume keys are computed
-        # on resolved params — the identical normalisation, which is a
-        # precondition of byte-identical rows.
-        self._specs: Dict[str, ScenarioSpec] = {}
-        normalized: List[CampaignPoint] = []
-        for point in points:
-            spec = self._specs.get(point.scenario)
-            if spec is None:
-                spec = self._specs[point.scenario] = get_scenario(point.scenario)
-            resolved = spec.resolve_params(point.params)
-            if resolved != point.params:
-                from dataclasses import replace
-
-                point = replace(point, params=resolved)
-            normalized.append(point)
-        done = frozenset(completed) if completed else frozenset()
-        todo = as_scheduler(schedule).order(
-            [p for p in normalized if p.key() not in done]
-        )
+        # The same planning as run_campaign: stale manifests fail before
+        # any node does work, and resume keys are computed on resolved
+        # params — a precondition of byte-identical rows.
+        self._specs, todo = plan_points(points, completed, schedule)
         self.total_points = len(points)
         self.skipped_points = len(points) - len(todo)
 

@@ -118,7 +118,7 @@ def lease_fold(
         successes += chunk_successes
         steps_total += chunk_steps
         trials += chunk_trials
-        if chunker is not None and len(fold) > 4:
+        if chunker is not None:
             chunker.observe(spec.name, chunk_trials, fold[4])
     return {
         "lease": lease.get("lease"),

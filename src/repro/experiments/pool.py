@@ -46,9 +46,9 @@ WorkerCount = Union[int, str, None]
 #: on the kinds of trial loads we run outweighs extra parallelism.
 MAX_AUTO_WORKERS = 8
 
-#: Per-dispatch trial cap for the streamed per-trial-outcome path. When a
+#: Per-dispatch trial cap for chunks that ship per-trial columns. When a
 #: consumer asks for every trial (``on_outcome``/``keep_outcomes``), the
-#: worker's result is a pickled batch of outcomes; without a cap its size
+#: worker's result carries a pickled batch of outcomes; without a cap its size
 #: scales with the chunk size, so a coarse-chunked 50k-trial experiment
 #: would ship 12.5k-outcome pickles through the result pipe in one gulp.
 #: Capping the chunk bounds every IPC message at a fixed number of trials
@@ -56,8 +56,8 @@ MAX_AUTO_WORKERS = 8
 #: experiment — while staying coarse enough that dispatch overhead stays
 #: invisible next to real trial work (at 128 the extra dispatch
 #: round-trips on cheap trials ate the encoding win; 256 keeps both).
-#: Folded dispatches (counters over IPC) don't need it: their result
-#: size is already independent of the chunk size.
+#: Counter-only dispatches don't need it: their result size is already
+#: independent of the chunk size.
 STREAM_CHUNK_TRIALS = 256
 
 
@@ -83,8 +83,9 @@ def resolve_workers(workers: WorkerCount) -> int:
 def _init_worker() -> None:
     """Pool-process initializer: register the catalog, then freeze it.
 
-    The import mirrors what :func:`~repro.experiments.runner._run_chunk`
-    would do lazily; doing it here moves the cost off the first chunk.
+    The import mirrors what
+    :func:`~repro.experiments.runner._run_chunk_folded` would do lazily;
+    doing it here moves the cost off the first chunk.
     ``gc.freeze`` then permanently exempts those import-time objects from
     cyclic collection — they can never die while the worker lives, so
     scanning them on every collection is pure overhead.

@@ -13,28 +13,27 @@ hand-roll:
   with ``parallel=False``, one worker, or sixteen. (This derivation is
   exactly the one :func:`repro.analysis.distribution.estimate_distribution`
   has always used, so historical results are preserved bit-for-bit.)
-- **Lean hot path.** Trials run with ``record_trace=False`` by default:
-  Monte-Carlo estimation reads only outcomes, so the executor skips all
-  event-object allocation.
+- **Lean hot path.** Trials run untraced: Monte-Carlo estimation reads
+  only outcomes, so the executor skips all event-object allocation.
 - **Pool reuse.** The runner dispatches through a persistent
   :class:`~repro.experiments.pool.WorkerPool` — injected by the caller
   (sweeps, campaigns, frontier/fuzz loops share one pool across every
   experiment), or created lazily on first parallel use and kept for the
   runner's lifetime. Worker processes are never re-spawned between
   experiments.
-- **Folded aggregates.** When the caller doesn't ask for per-trial
-  outcomes (``keep_outcomes=False`` and no ``on_outcome``), worker
-  chunks come back as outcome-count dicts plus success/step counters
-  instead of pickled per-trial lists — counter addition is commutative,
-  so the fold order never shows in the result and IPC volume stops
-  scaling with the trial count.
-- **Streamed per-trial outcomes.** When a consumer *does* ask for every
-  trial (``on_outcome`` or ``keep_outcomes=True``) under a parallel
-  pool, dispatches are capped at
-  :data:`~repro.experiments.pool.STREAM_CHUNK_TRIALS` trials and come
-  back as columnar packed tuples, so consumers receive outcomes in
-  bounded, cheap IPC messages instead of one arbitrarily large pickled
-  object list per dispatch.
+- **One chunk entry point.** Every chunk runs through
+  :func:`_run_chunk_folded` and comes back as a :data:`ChunkFold`:
+  outcome-count dicts plus success/step counters, so IPC volume does
+  not scale with the trial count and the fold order never shows in the
+  result (counter addition is commutative). A consumer that asks for
+  every trial (``on_outcome`` or ``keep_outcomes=True``) gets the same
+  fold with the trials appended as columnar tuples; under a parallel
+  pool those dispatches are capped at
+  :data:`~repro.experiments.pool.STREAM_CHUNK_TRIALS` trials, so each
+  IPC message stays bounded however large the experiment.
+- **One point driver.** :meth:`ExperimentRunner.run` drives a
+  :class:`~repro.experiments.campaign.PointState` — the batching, stop,
+  deadline and finalize rules campaigns and the lease coordinator use.
 - **Adaptive budgets.** ``run(budget=...)`` replaces the fixed trial
   count with a registered stop rule (Wilson width, relative precision,
   fail-rate target — see :mod:`~repro.experiments.budget`), evaluated
@@ -48,12 +47,11 @@ cannot cross process boundaries.
 """
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.distribution import OutcomeDistribution
-from repro.analysis.stats import Proportion, proportion
+from repro.analysis.stats import Proportion
 from repro.experiments.budget import BudgetPolicy, BudgetRef, as_policy
 from repro.experiments.chunking import AdaptiveChunker
 from repro.experiments.pool import (
@@ -241,19 +239,23 @@ def run_traced_trial(
     )
 
 
-#: One chunk's work order, shipped to a worker. ``scenario`` is a builtin
-#: name (resolved from the worker's own catalog) or a full spec by value.
-#: The trailing ``use_batch`` flag opts the folded path in or out of a
-#: scenario's vectorized kernel; it is optional (older 6-tuples still
-#: parse, defaulting to batch-on) so pickled payloads stay compatible.
+#: One chunk's work order, shipped to a worker: ``(scenario, params,
+#: base_seed, indices, keep_trials, max_steps, use_batch)``. ``scenario``
+#: is a builtin name (resolved from the worker's own catalog) or a full
+#: spec by value; ``keep_trials`` asks for the per-trial columns, and
+#: ``use_batch`` opts the fold in or out of a scenario's vectorized
+#: kernel.
 ChunkPayload = Tuple[ScenarioRef, Params, int, Tuple[int, ...], bool, Optional[int], bool]
 
-#: A worker-side folded chunk: (outcome -> count, successes, steps total,
-#: trial count, worker-measured elapsed seconds). Plain tuples pickle
-#: small and fold commutatively. The trailing ``elapsed`` is scheduling
+#: A worker-side chunk result: (outcome -> count, successes, steps total,
+#: trial count, worker-measured elapsed seconds), then — for a
+#: ``keep_trials`` payload only — the chunk's trials as four columnar
+#: tuples ``(indices, outcomes, steps, successes)``. Plain tuples pickle
+#: small and fold commutatively; columns carry per-trial data in a
+#: fraction of the bytes of per-trial objects. ``elapsed`` is scheduling
 #: metadata — the cost-adaptive chunker's in-run feedback signal — and
 #: never reaches a row: the first four elements alone decide results.
-ChunkFold = Tuple[Dict[Any, int], int, int, int, float]
+ChunkFold = Tuple[Any, ...]
 
 
 def _resolve_chunk_spec(scenario: ScenarioRef) -> ScenarioSpec:
@@ -262,68 +264,6 @@ def _resolve_chunk_spec(scenario: ScenarioRef) -> ScenarioSpec:
 
         return get_scenario(scenario)
     return scenario
-
-
-def _run_chunk(payload: ChunkPayload) -> List[TrialOutcome]:
-    """Worker entry point: run a chunk, returning per-trial outcomes."""
-    scenario, params, base_seed, indices, record_trace, max_steps = payload[:6]
-    spec = _resolve_chunk_spec(scenario)
-    return [
-        run_one_trial(spec, params, base_seed, i, record_trace, max_steps)
-        for i in indices
-    ]
-
-
-#: A worker-side *packed* chunk for the streamed outcome path: columnar
-#: ``(indices, outcomes, steps, successes, elapsed)`` tuples. Per-trial
-#: :class:`TrialOutcome` objects pickle as one class reference plus four
-#: boxed fields *each*; four flat tuples carry the same data in a
-#: fraction of the bytes, and the master rebuilds the objects locally.
-#: The trailing worker-measured ``elapsed`` seconds feed the
-#: cost-adaptive chunker and never reach a trial outcome.
-PackedChunk = Tuple[
-    Tuple[int, ...], Tuple[Any, ...], Tuple[int, ...], Tuple[bool, ...], float
-]
-
-
-def _run_chunk_packed(payload: ChunkPayload) -> PackedChunk:
-    """Worker entry point for the streamed outcome path: run a chunk and
-    return its trials as columnar tuples (see :data:`PackedChunk`).
-
-    Paired with the :data:`~repro.experiments.pool.STREAM_CHUNK_TRIALS`
-    chunk cap, this is what lets ``on_outcome`` consumers receive every
-    trial in bounded, cheap IPC messages instead of one arbitrarily
-    large pickled object list per dispatch.
-    """
-    scenario, params, base_seed, indices, record_trace, max_steps = payload[:6]
-    spec = _resolve_chunk_spec(scenario)
-    started = time.perf_counter()
-    outcomes = []
-    steps = []
-    successes = []
-    for i in indices:
-        trial = run_one_trial(spec, params, base_seed, i, record_trace, max_steps)
-        outcomes.append(trial.outcome)
-        steps.append(trial.steps)
-        successes.append(trial.success)
-    return (
-        tuple(indices),
-        tuple(outcomes),
-        tuple(steps),
-        tuple(successes),
-        time.perf_counter() - started,
-    )
-
-
-def _unpack_chunk(packed: PackedChunk) -> List[TrialOutcome]:
-    """Rebuild a packed chunk's :class:`TrialOutcome` objects master-side
-    (the trailing elapsed element, when present, is timing metadata the
-    dispatcher consumes — trials never see it)."""
-    indices, outcomes, steps, successes = packed[:4]
-    return [
-        TrialOutcome(index=i, outcome=o, steps=s, success=w)
-        for i, o, s, w in zip(indices, outcomes, steps, successes)
-    ]
 
 
 def trial_seeds(base_seed: int, indices: Sequence[int]) -> List[int]:
@@ -361,7 +301,7 @@ def _fold_batch(
 
 
 def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
-    """Worker entry point: run a chunk, returning only folded aggregates.
+    """Worker entry point: run a chunk and fold it (see :data:`ChunkFold`).
 
     The worker folds its own trials into an outcome histogram and
     success/step counters, so what crosses the process boundary is a
@@ -371,18 +311,17 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     When the scenario carries a vectorized ``run_batch`` kernel, the
     fold is computed by the kernel instead of the per-trial loop —
     same counts bit for bit, fraction of the interpreter time. The
-    kernel only applies where its contract does: the folded path with
-    no trace and the default step budget (a custom ``max_steps`` can
+    kernel only applies where its contract does: no per-trial columns
+    asked for and the default step budget (a custom ``max_steps`` can
     change executor outcomes, which closed-form kernels cannot see).
     """
-    scenario, params, base_seed, indices, record_trace, max_steps = payload[:6]
-    use_batch = payload[6] if len(payload) > 6 else True
+    scenario, params, base_seed, indices, keep_trials, max_steps, use_batch = payload
     spec = _resolve_chunk_spec(scenario)
     started = time.perf_counter()
     if (
         use_batch
+        and not keep_trials
         and spec.run_batch is not None
-        and not record_trace
         and max_steps is None
     ):
         batched = _fold_batch(spec, params, base_seed, indices)
@@ -391,12 +330,18 @@ def _run_chunk_folded(payload: ChunkPayload) -> ChunkFold:
     counts: Dict[Any, int] = {}
     successes = 0
     steps_total = 0
+    kept = []
     for i in indices:
-        trial = run_one_trial(spec, params, base_seed, i, record_trace, max_steps)
+        trial = run_one_trial(spec, params, base_seed, i, max_steps=max_steps)
         counts[trial.outcome] = counts.get(trial.outcome, 0) + 1
         successes += int(trial.success)
         steps_total += trial.steps
-    return (counts, successes, steps_total, len(indices), time.perf_counter() - started)
+        if keep_trials:
+            kept.append((i, trial.outcome, trial.steps, trial.success))
+    fold = (counts, successes, steps_total, len(indices), time.perf_counter() - started)
+    # zip(*kept) transposes the kept trials into the four columns (and
+    # adds nothing when none were kept).
+    return fold + tuple(zip(*kept))
 
 
 def chunk_payloads(
@@ -404,7 +349,7 @@ def chunk_payloads(
     params: Params,
     base_seed: int,
     indices: Sequence[int],
-    record_trace: bool = False,
+    keep_trials: bool = False,
     max_steps: Optional[int] = None,
     workers: int = 1,
     chunk_size: Optional[int] = None,
@@ -426,7 +371,7 @@ def chunk_payloads(
     chunks toward its wall-seconds target (see
     :class:`~repro.experiments.chunking.AdaptiveChunker`); otherwise the
     static count heuristic (~4 chunks per worker). ``max_chunk`` caps
-    the result whatever chose it — the streamed outcome path uses it to
+    the result whatever chose it — ``keep_trials`` dispatches use it to
     bound per-dispatch IPC message size. Chunking never affects results,
     only scheduling.
     """
@@ -447,12 +392,19 @@ def chunk_payloads(
             params,
             base_seed,
             tuple(indices[start : start + size]),
-            record_trace,
+            keep_trials,
             max_steps,
             use_batch,
         )
         for start in range(0, count, size)
     ]
+
+
+def check_chunk_size(chunk_size: Optional[int]) -> None:
+    """Reject a pinned chunk size below one trial — before any work, on
+    every path that accepts one."""
+    if chunk_size is not None and chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
 
 
 class ExperimentRunner:
@@ -472,9 +424,6 @@ class ExperimentRunner:
     chunk_size:
         Trials per worker task; defaults to ~4 tasks per worker so slow
         chunks load-balance. Never affects results, only scheduling.
-    record_trace:
-        Forwarded to the executor; ``False`` (default) is the Monte-Carlo
-        fast path.
     max_steps:
         Per-trial delivery budget override (``None`` = executor default).
     pool:
@@ -505,25 +454,21 @@ class ExperimentRunner:
         workers: WorkerCount = 1,
         parallel: Optional[bool] = None,
         chunk_size: Optional[int] = None,
-        record_trace: bool = False,
         max_steps: Optional[int] = None,
         pool: Optional[WorkerPool] = None,
         use_batch: bool = True,
         chunker: Optional[AdaptiveChunker] = None,
     ):
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+        check_chunk_size(chunk_size)
         if pool is not None:
             self.workers = pool.workers
         else:
             self.workers = resolve_workers(workers)
         self.parallel = parallel if parallel is not None else self.workers > 1
         self.chunk_size = chunk_size
-        self.record_trace = record_trace
         self.max_steps = max_steps
         self.use_batch = use_batch
         self.chunker = chunker
-        self._dispatches = 0
         self._pool = pool
         self._owns_pool = pool is None
 
@@ -552,67 +497,6 @@ class ExperimentRunner:
             self._pool = WorkerPool(self.workers)
         return self._pool
 
-    # -- internals -----------------------------------------------------
-
-    def _dispatch(
-        self,
-        spec: ScenarioSpec,
-        params: Params,
-        base_seed: int,
-        indices: Sequence[int],
-        fold: bool,
-        bounded: bool = False,
-        chunk_size: Optional[int] = None,
-    ) -> Iterable[Union[List[TrialOutcome], ChunkFold]]:
-        use_pool = self.parallel and self.workers > 1 and len(indices) > 1
-        payloads = chunk_payloads(
-            spec,
-            params,
-            base_seed,
-            indices,
-            self.record_trace,
-            self.max_steps,
-            workers=self.workers,
-            # A per-call override (the calibration probe) outranks the
-            # runner-wide setting, which outranks the adaptive chunker.
-            chunk_size=chunk_size if chunk_size is not None else self.chunk_size,
-            # Streamed outcome path: per-trial results cross the process
-            # boundary, so bound every dispatch's pickled payload.
-            max_chunk=STREAM_CHUNK_TRIALS if use_pool and not fold else None,
-            use_batch=self.use_batch,
-            chunker=self.chunker,
-        )
-        self._dispatches += len(payloads)
-        observe = self.chunker.observe if self.chunker is not None else None
-        if not use_pool:
-            # In-process: no pickling, so nothing to pack or bound.
-            fn = _run_chunk_folded if fold else _run_chunk
-            for payload in payloads:
-                started = time.perf_counter()
-                result = fn(payload)
-                if observe is not None:
-                    # Folded chunks time themselves; the streamed path's
-                    # trial lists don't, so the master's clock stands in.
-                    elapsed = result[4] if fold else time.perf_counter() - started
-                    observe(spec.name, len(payload[3]), elapsed)
-                yield result
-            return
-        pool = self._shared_pool()
-        if fold:
-            for chunk in pool.imap_unordered(
-                _run_chunk_folded, payloads, bounded=bounded
-            ):
-                if observe is not None:
-                    observe(spec.name, chunk[3], chunk[4])
-                yield chunk
-            return
-        for packed in pool.imap_unordered(
-            _run_chunk_packed, payloads, bounded=bounded
-        ):
-            if observe is not None:
-                observe(spec.name, len(packed[0]), packed[4])
-            yield _unpack_chunk(packed)
-
     # -- public API ----------------------------------------------------
 
     def run(
@@ -635,11 +519,17 @@ class ExperimentRunner:
         ``on_outcome`` (if given) observes every trial as its chunk
         arrives — arrival order is nondeterministic under parallelism,
         but the folded result and the final ``outcomes`` list (sorted by
-        trial index) are not. With ``keep_outcomes=False`` and no
-        ``on_outcome``, chunks are folded *inside the workers* and only
-        aggregate counters cross the process boundary; the result's
-        ``outcomes`` list is then empty (the distribution, success
+        trial index) are not. Chunks are always folded *inside the
+        workers*; only a consumer of trials (``on_outcome`` or
+        ``keep_outcomes``) also ships the per-trial columns. With
+        ``keep_outcomes=False`` and no ``on_outcome``, only aggregate
+        counters cross the process boundary and the result's
+        ``outcomes`` list is empty (the distribution, success
         proportion, and row are identical either way).
+
+        The batching, stop rule, deadline, and finalize are those of
+        :class:`~repro.experiments.campaign.PointState`, the one
+        implementation campaigns and the lease coordinator share.
 
         ``deadline`` (a ``time.monotonic()`` timestamp) arms cooperative
         cancellation: the run is abandoned at the first *chunk boundary*
@@ -669,109 +559,75 @@ class ExperimentRunner:
                 raise ConfigurationError("trials is required without a budget")
             if trials < 0:
                 raise ConfigurationError(f"trials must be >= 0, got {trials}")
-        started = time.perf_counter()
-        fold = not keep_outcomes and on_outcome is None
-        counts: Counter = Counter()
-        outcomes: List[TrialOutcome] = []
-        success_count = 0
-        steps_total = 0
-        ran = 0
-        timed_out = False
-        self._dispatches = 0
+        # Deferred: campaign.py builds on this module.
+        from repro.experiments.campaign import CampaignPoint, PointState
 
-        def _consume(start: int, end: int, chunk_size: Optional[int] = None) -> None:
-            nonlocal success_count, steps_total, ran, timed_out
-            for chunk_result in self._dispatch(
+        keep_trials = keep_outcomes or on_outcome is not None
+        point = CampaignPoint(
+            spec.name, resolved, trials, base_seed, self.max_steps, policy
+        )
+        probe = PointState.probe_for(point, self.chunker, self.chunk_size)
+        state = PointState(0, point, spec, probe)
+        observe = self.chunker.observe if self.chunker is not None else None
+        outcomes: List[TrialOutcome] = []
+        batch = state.next_batch()
+        while batch is not None:
+            start, end = batch
+            use_pool = self.parallel and self.workers > 1 and end - start > 1
+            payloads = chunk_payloads(
                 spec,
                 resolved,
                 base_seed,
                 range(start, end),
-                fold,
+                keep_trials,
+                self.max_steps,
+                workers=self.workers,
+                chunk_size=state.batch_chunk_size(end, self.chunk_size),
+                # Per-trial columns cross the process boundary: bound
+                # every dispatch's pickled result.
+                max_chunk=STREAM_CHUNK_TRIALS if use_pool and keep_trials else None,
+                use_batch=self.use_batch,
+                chunker=self.chunker,
+            )
+            state.dispatches += len(payloads)
+            state.pending = len(payloads)
+            if use_pool:
                 # An armed deadline may abandon the iterator: window the
                 # dispatch so abandonment strands at most a window of
-                # submitted chunks, not the whole experiment.
-                bounded=deadline is not None,
-                chunk_size=chunk_size,
-            ):
-                if fold:
-                    fold_counts, fold_successes, fold_steps, fold_trials = (
-                        chunk_result[:4]
-                    )
-                    counts.update(fold_counts)
-                    success_count += fold_successes
-                    steps_total += fold_steps
-                    ran += fold_trials
-                else:
-                    for trial in chunk_result:
-                        counts[trial.outcome] += 1
-                        success_count += int(trial.success)
-                        steps_total += trial.steps
-                        ran += 1
+                # submitted chunks, not the whole batch.
+                chunks = self._shared_pool().imap_unordered(
+                    _run_chunk_folded, payloads, bounded=deadline is not None
+                )
+            else:
+                chunks = map(_run_chunk_folded, payloads)
+            for chunk in chunks:
+                if observe is not None:
+                    observe(spec.name, chunk[3], chunk[4])
+                state.fold(chunk)
+                state.pending -= 1
+                if keep_trials:
+                    for trial in map(TrialOutcome, *chunk[5:]):
                         if keep_outcomes:
                             outcomes.append(trial)
                         if on_outcome is not None:
                             on_outcome(trial)
                 if deadline is not None and time.monotonic() >= deadline:
                     # Cooperative cancellation: abandon at this chunk
-                    # boundary. Closing the dispatch generator discards
+                    # boundary. Dropping the dispatch iterator discards
                     # any in-flight parallel chunks' results.
-                    timed_out = True
+                    state.timed_out = True
                     break
-
-        if policy is None:
-            probe = 0
-            if self.chunker is not None and self.chunk_size is None and fold:
-                # In-run calibration: an unseen scenario's first chunk
-                # runs at a bounded size so its measured elapsed seeds
-                # the cost model, and the rest of this same point is
-                # chunked from evidence instead of the count heuristic.
-                probe = self.chunker.calibration_trials(spec.name, trials)
-            if probe:
-                _consume(0, probe, chunk_size=probe)
-            if not timed_out:
-                _consume(probe, trials)
-            if timed_out and ran >= trials:
-                # The deadline lapsed exactly as the last chunk folded:
-                # every requested trial ran, so the result is complete —
-                # stamping it timed_out would discard it and retry the
-                # point forever under --resume.
-                timed_out = False
-        else:
-            done = 0
-            for end in policy.batch_ends():
-                if end > done:
-                    _consume(done, end)
-                    done = end
-                if timed_out:
-                    if ran == done and (
-                        ran >= policy.max_trials
-                        or policy.satisfied(success_count, ran, counts=counts)
-                    ):
-                        # Same complete-at-the-boundary case: the stop
-                        # rule already decided; nothing was lost.
-                        timed_out = False
-                    break
-                if policy.satisfied(success_count, done, counts=counts):
-                    break
-        outcomes.sort(key=lambda t: t.index)
-        distribution = OutcomeDistribution(
-            n=spec.size(resolved), trials=ran, counts=counts
-        )
-        return ExperimentResult(
-            scenario=spec.name,
-            params=resolved,
-            trials=ran,
-            base_seed=base_seed,
-            outcomes=outcomes,
-            distribution=distribution,
-            successes=proportion(success_count, ran, z=policy.z if policy else 1.96),
-            max_steps=self.max_steps,
-            elapsed=time.perf_counter() - started,
-            steps_total=steps_total,
-            dispatches=self._dispatches,
-            budget=policy,
-            timed_out=timed_out,
-        )
+            if state.timed_out:
+                # A deadline that lapsed exactly as the last trial
+                # arrived lost nothing: the result is complete.
+                state.timed_out = not state.exhausted()
+                break
+            if state.converged():
+                break
+            batch = state.next_batch()
+        result = state.finalize()
+        result.outcomes = sorted(outcomes, key=lambda t: t.index)
+        return result
 
 
 def _is_builtin(spec: ScenarioSpec) -> bool:

@@ -202,6 +202,17 @@ class TestRunCampaign:
             (result,) = run_campaign([point], workers=workers)
             assert result.trials == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_chunk_size_below_one_rejected_before_any_work(
+        self, workers, chunk_size
+    ):
+        """The same typed error at every worker count, raised by the
+        call itself — not a bare ValueError from slicing, nor a silent
+        0-trial row for a point that asked for trials."""
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            run_campaign(self.GRID[:1], workers=workers, chunk_size=chunk_size)
+
     def test_infeasible_point_raises_configuration_error(self):
         # k=7 rushers cannot be equally spaced on a ring of 8.
         bad = CampaignPoint(
@@ -295,6 +306,15 @@ class TestCampaignCli:
             main(["campaign", str(missing), "--out", str(out)])
         assert out.read_text() == '{"precious": "results"}\n'
         assert not (tmp_path / "rows.jsonl.tmp").exists()
+
+    def test_chunk_size_below_one_exits_with_the_message(self, tmp_path):
+        manifest = self._write_manifest(tmp_path)
+        out = tmp_path / "rows.jsonl"
+        for workers in ("1", "2"):
+            with pytest.raises(SystemExit, match="chunk_size must be >= 1"):
+                main(["campaign", str(manifest), "--out", str(out),
+                      "--workers", workers, "--chunk-size", "-3"])
+        assert not out.exists()
 
     def test_campaign_resume_requires_out(self, tmp_path):
         manifest = self._write_manifest(tmp_path)

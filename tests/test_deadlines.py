@@ -27,6 +27,7 @@ from repro.experiments import (
     CampaignDeadline,
     CampaignPoint,
     CostModel,
+    ExperimentRunner,
     PointScheduler,
     RowWriter,
     ScenarioSpec,
@@ -174,9 +175,18 @@ class TestPointTimeout:
         (result,) = run_campaign(
             points, workers=workers, chunk_size=4, point_timeout=0.05
         )
-        assert result.trials == 4
-        assert not result.timed_out
-        assert "timed_out" not in result.to_row()
+        # The runner's streamed path (per-trial outcomes kept) shares
+        # the same complete-at-the-boundary rule.
+        with ExperimentRunner(workers=workers, chunk_size=4) as runner:
+            streamed = runner.run(
+                SLEEPY, 4, params={"n": 4, "delay": 0.03},
+                deadline=time.monotonic() + 0.05,
+            )
+        assert len(streamed.outcomes) == 4
+        for result in (result, streamed):
+            assert result.trials == 4
+            assert not result.timed_out
+            assert "timed_out" not in result.to_row()
 
     def test_timed_out_implies_strictly_partial(self, sleepy_scenario):
         """The invariant behind the resume contract: a timed_out row
@@ -192,9 +202,19 @@ class TestPointTimeout:
                     chunk_size=chunk_size,
                     point_timeout=0.05,
                 )
-                assert result.timed_out == (result.trials < 4), (
-                    workers, chunk_size, result.trials, result.timed_out
-                )
+                # ...and the runner's streamed path (outcomes kept).
+                with ExperimentRunner(
+                    workers=workers, chunk_size=chunk_size
+                ) as runner:
+                    streamed = runner.run(
+                        SLEEPY, 4, params={"n": 4, "delay": 0.03},
+                        deadline=time.monotonic() + 0.05,
+                    )
+                assert len(streamed.outcomes) == streamed.trials
+                for result in (result, streamed):
+                    assert result.timed_out == (result.trials < 4), (
+                        workers, chunk_size, result.trials, result.timed_out
+                    )
 
     def test_adaptive_run_satisfied_at_the_deadline_is_not_timed_out(
         self, sleepy_scenario

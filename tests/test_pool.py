@@ -446,19 +446,25 @@ class TestStreamedOutcomes:
 
     def test_packed_chunk_roundtrips_the_trial_list(self):
         from repro.experiments.runner import (
-            _run_chunk,
-            _run_chunk_packed,
-            _unpack_chunk,
+            TrialOutcome,
+            _run_chunk_folded,
             chunk_payloads,
+            run_one_trial,
         )
         from repro.experiments.scenario import get_scenario
 
         spec = get_scenario("fullinfo/baton")
         params = spec.resolve_params({"n": 8, "k": 2})
-        (payload,) = chunk_payloads(
+        (kept,) = chunk_payloads(
+            spec, params, 3, range(12), True, None, chunk_size=12
+        )
+        (folded,) = chunk_payloads(
             spec, params, 3, range(12), False, None, chunk_size=12
         )
-        assert _unpack_chunk(_run_chunk_packed(payload)) == _run_chunk(payload)
+        chunk = _run_chunk_folded(kept)
+        reference = [run_one_trial(spec, params, 3, i) for i in range(12)]
+        assert list(map(TrialOutcome, *chunk[5:])) == reference
+        assert chunk[:4] == _run_chunk_folded(folded)[:4]
 
     def test_parallel_on_outcome_sees_every_trial_once(self):
         seen = []

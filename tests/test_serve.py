@@ -410,6 +410,18 @@ class TestDisconnects:
             f"/estimate?scenario={SCENARIO}&ci_width={WIDE}&n=16&target=5"
         )
         assert service.disconnects.value() == 0
+        # The server runs on a thread of this process: it can win the
+        # GIL between the client's sendall and close and answer a live
+        # socket. Hold the answer until the client is gone, so the
+        # response write always meets the reset connection.
+        hung_up = threading.Event()
+        estimate = service.estimate
+
+        def estimate_after_hangup(*args, **kwargs):
+            hung_up.wait(5)
+            return estimate(*args, **kwargs)
+
+        service.estimate = estimate_after_hangup
         sock = socket.create_connection((host, port), timeout=5)
         # RST on close (SO_LINGER 0): the server's response write hits a
         # dead connection deterministically instead of racing the FIN.
@@ -420,6 +432,7 @@ class TestDisconnects:
             f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
         )
         sock.close()
+        hung_up.set()
         deadline = time.monotonic() + 5
         while (
             service.disconnects.value() == 0
